@@ -16,6 +16,7 @@ import (
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
 	"butterfly/internal/lifeguard/addrcheck"
+	"butterfly/internal/lifeguard/lockset"
 	"butterfly/internal/trace"
 )
 
@@ -68,13 +69,65 @@ func steadyGrid(tb testing.TB, nthreads, perThread int) *epoch.Grid {
 	return g
 }
 
+// lockGrid builds LockSet traffic: threads update 64 shared words, each
+// under the lock that guards it, in epochs of h events per thread. With
+// stray > 0, one update in stray is an unprotected write instead; with
+// stray = 0 every candidate lockset keeps its lock and nothing races.
+func lockGrid(tb testing.TB, nthreads, perThread, h, stray int) *epoch.Grid {
+	tb.Helper()
+	b := trace.NewBuilder(nthreads)
+	const (
+		shared = 0x10000
+		vars   = 64
+		locks  = 8
+	)
+	for t := 0; t < nthreads; t++ {
+		b.T(trace.ThreadID(t))
+		rng := rand.New(rand.NewSource(int64(t + 1)))
+		for n := 0; n < perThread; {
+			v := uint64(rng.Intn(vars))
+			if stray > 0 && rng.Intn(stray) == 0 {
+				b.Write(shared+v*8, 8)
+				n++
+				continue
+			}
+			b.Lock(v%locks).Read(shared+v*8, 8).Write(shared+v*8, 8).Unlock(v % locks)
+			n += 4
+		}
+	}
+	g, err := epoch.ChunkByCount(b.Build(), h)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// TestSteadyStateAllocBudget runs the gate once per lifeguard, each on a
+// clean workload suited to it, in the serial unsharded shape.
 func TestSteadyStateAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race detector instruments allocations; counts are not meaningful")
 	}
-	const T = 4
-	g := steadyGrid(t, T, 8192) // 128 epochs of 64 events/thread
-	d := &core.Driver{LG: addrcheck.New(0)}
+	for _, tc := range []struct {
+		name string
+		lg   core.Lifeguard
+		grid func(tb testing.TB, nthreads, perThread int) *epoch.Grid
+	}{
+		{"addrcheck", addrcheck.New(0), steadyGrid},
+		{"lockset", lockset.New(), func(tb testing.TB, nthreads, perThread int) *epoch.Grid {
+			return lockGrid(tb, nthreads, perThread, 64, 0)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const T = 4
+			g := tc.grid(t, T, 8192) // 128 epochs of 64 events/thread
+			checkSteadyAllocs(t, &core.Driver{LG: tc.lg}, g)
+		})
+	}
+}
+
+func checkSteadyAllocs(t *testing.T, d *core.Driver, g *epoch.Grid) {
+	T := g.NumThreads
 	inc, err := d.NewIncrementalTrimmed(T)
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +146,12 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 			b.Events = append(b.Events[:0], g.Blocks[l][t2].Events...)
 		}
 		rb.Stamp(blocks)
-		if _, err := inc.FeedEpoch(blocks); err != nil {
+		reports, err := inc.FeedEpoch(blocks)
+		if err != nil {
 			t.Fatalf("epoch %d: %v", l, err)
+		}
+		if len(reports) != 0 {
+			t.Fatalf("epoch %d: %d reports on a clean workload, first %v", l, len(reports), reports[0])
 		}
 	}
 

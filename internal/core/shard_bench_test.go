@@ -8,6 +8,7 @@ import (
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
 	"butterfly/internal/lifeguard/addrcheck"
+	"butterfly/internal/lifeguard/lockset"
 	"butterfly/internal/trace"
 )
 
@@ -47,20 +48,31 @@ func shardBenchGrid(tb testing.TB) *epoch.Grid {
 	return g
 }
 
-// BenchmarkShardedThroughput is the shards ablation: the same grid through
-// the parallel batch driver at increasing shard counts. Reported in
-// EXPERIMENTS.md ("Address sharding" for the shard-count shape,
-// "Allocation ablation" for pooled-vs-unpooled at each count).
+// BenchmarkShardedThroughput is the shards ablation: per lifeguard, the same
+// grid through the parallel batch driver at increasing shard counts.
+// Reported in EXPERIMENTS.md ("Address sharding" for the shard-count shape,
+// "Allocation ablation" for pooled-vs-unpooled at each count, "LockSet
+// representation" for the lockset rows).
 func BenchmarkShardedThroughput(b *testing.B) {
-	g := shardBenchGrid(b)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			d := &core.Driver{LG: addrcheck.New(0), Parallel: true, Shards: shards}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Run(g)
-			}
-			b.ReportMetric(float64(g.TotalEvents())*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		})
+	for _, tc := range []struct {
+		name string
+		lg   core.Lifeguard
+		grid func(testing.TB) *epoch.Grid
+	}{
+		{"addrcheck", addrcheck.New(0), shardBenchGrid},
+		// The lock-mixed traffic of the end-to-end benchmark.
+		{"lockset", lockset.New(), func(tb testing.TB) *epoch.Grid { return lockGrid(tb, 4, 16384, 32, 128) }},
+	} {
+		g := tc.grid(b)
+		for _, shards := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(b *testing.B) {
+				d := &core.Driver{LG: tc.lg, Parallel: true, Shards: shards}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					d.Run(g)
+				}
+				b.ReportMetric(float64(g.TotalEvents())*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+			})
+		}
 	}
 }

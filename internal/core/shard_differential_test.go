@@ -11,10 +11,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
+	"butterfly/internal/interleave"
+	"butterfly/internal/lifeguard"
+	"butterfly/internal/lifeguard/lockset"
 	"butterfly/internal/sets"
 	"butterfly/internal/trace"
 )
@@ -69,6 +73,11 @@ func wideTrace(rng *rand.Rand, nthreads int) *trace.Trace {
 				b.Nop(1)
 			}
 		}
+		if t >= 64 {
+			// Only threads 64 and up touch these words, so their races
+			// are reported only if those thread ids are tracked.
+			b.Write(0x8000+uint64(rng.Intn(4))*8, 8)
+		}
 	}
 	return b.Build()
 }
@@ -119,10 +128,16 @@ func TestDifferentialShardInvariance(t *testing.T) {
 
 	for lgName, mk := range lifeguards {
 		t.Run(lgName, func(t *testing.T) {
-			for seed := int64(0); seed < 8; seed++ {
+			for seed := int64(0); seed < 9; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				nthreads := 1 + rng.Intn(6)
 				h := []int{1, 3, 9}[rng.Intn(3)]
+				if seed == 8 {
+					// The wide input: thread ids of 64 and up race, which a
+					// 64-bit thread mask would lose. Long epochs keep its
+					// per-block walks over 3×69 wings affordable.
+					nthreads, h = 70, 9
+				}
 				tr := wideTrace(rng, nthreads)
 				g, err := epoch.ChunkWithSkew(tr, h, rng.Intn(h), seed)
 				if err != nil {
@@ -132,6 +147,9 @@ func TestDifferentialShardInvariance(t *testing.T) {
 					seed, nthreads, h, g.NumEpochs(), g.TotalEvents())
 
 				want := (&core.Driver{LG: noAgg{mk()}}).Run(g)
+				if lgName == "lockset" && nthreads > 64 {
+					checkLocksetCoverage(t, g, want.Reports, rng)
+				}
 
 				for _, shards := range []int{1, 2, 3, 8} {
 					for _, parallel := range []bool{false, true} {
@@ -156,6 +174,37 @@ func TestDifferentialShardInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkLocksetCoverage checks the wide input against the sequential lockset
+// oracle, which shares no code with the butterfly detector: every byte the
+// oracle flags on one valid serialization of g must lie in the racing range
+// of some butterfly report, and the oracle must flag a race at a thread id
+// of 64 or more.
+func checkLocksetCoverage(t *testing.T, g *epoch.Grid, reports []core.Report, rng *rand.Rand) {
+	t.Helper()
+	var ranges [][2]uint64
+	for _, r := range reports {
+		var lo, hi uint64
+		if _, err := fmt.Sscanf(r.Detail, "no common lock protects [%v,%v)", &lo, &hi); err != nil {
+			t.Fatalf("unparsable lockset report %q: %v", r.Detail, err)
+		}
+		ranges = append(ranges, [2]uint64{lo, hi})
+	}
+	high := false
+	for _, rep := range lifeguard.RunOracle(lockset.NewOracle(), interleave.Random(g, rng)) {
+		var a uint64
+		if _, err := fmt.Sscanf(rep.Detail, "no common lock protects %v", &a); err != nil {
+			t.Fatalf("unparsable oracle report %q: %v", rep.Detail, err)
+		}
+		high = high || rep.Ref.Thread >= 64
+		if !slices.ContainsFunc(ranges, func(r [2]uint64) bool { return r[0] <= a && a < r[1] }) {
+			t.Fatalf("false negative: the oracle flags %#x at %v, no butterfly report covers it", a, rep.Ref)
+		}
+	}
+	if !high {
+		t.Fatal("the wide input raced no thread id >= 64")
 	}
 }
 

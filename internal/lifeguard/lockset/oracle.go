@@ -10,11 +10,35 @@ import (
 )
 
 // Oracle is the exact sequential lockset detector over a serialized stream
-// (the same simplified Eraser discipline as the butterfly version).
+// (the same simplified Eraser discipline as the butterfly version). It is
+// the reference the zero-false-negative tests compare against, so it stays
+// a deliberately naive transcription: map-based sets, nil for the universe,
+// and none of the butterfly version's representation.
 type Oracle struct {
 	held    map[trace.ThreadID]sets.Set
-	perLoc  map[uint64]*cand
+	perLoc  map[uint64]*oracleCand
 	flagged map[uint64]bool
+}
+
+// oracleCand is one location's candidate state.
+type oracleCand struct {
+	c       sets.Set // nil = virgin (universe: every lock still a candidate)
+	threads map[trace.ThreadID]struct{}
+	write   bool
+}
+
+// intersect returns a ∩ b where nil means the universe.
+func intersect(a, b sets.Set) sets.Set {
+	switch {
+	case a == nil && b == nil:
+		return nil
+	case a == nil:
+		return b.Clone()
+	case b == nil:
+		return a.Clone()
+	default:
+		return a.Intersect(b)
+	}
 }
 
 var _ lifeguard.Oracle = (*Oracle)(nil)
@@ -32,7 +56,7 @@ func (o *Oracle) Name() string { return "lockset-sequential" }
 // Reset implements lifeguard.Oracle.
 func (o *Oracle) Reset() {
 	o.held = map[trace.ThreadID]sets.Set{}
-	o.perLoc = map[uint64]*cand{}
+	o.perLoc = map[uint64]*oracleCand{}
 	o.flagged = map[uint64]bool{}
 }
 
@@ -58,7 +82,7 @@ func (o *Oracle) Process(ref trace.Ref, e trace.Event) []core.Report {
 		for a := e.Lo(); a < e.Hi(); a++ {
 			c := o.perLoc[a]
 			if c == nil {
-				c = &cand{threads: map[trace.ThreadID]struct{}{}}
+				c = &oracleCand{threads: map[trace.ThreadID]struct{}{}}
 				o.perLoc[a] = c
 			}
 			c.c = intersect(c.c, held)

@@ -214,7 +214,6 @@ func BenchmarkServerThroughputWAL(b *testing.B) {
 			}()
 
 			g := benchGrid(b, 1)
-			b.SetBytes(int64(g.TotalEvents()))
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				res, err := client.Run(s.Addr(), client.Options{}, epoch.NewGridRows(g))
@@ -225,6 +224,7 @@ func BenchmarkServerThroughputWAL(b *testing.B) {
 					b.Fatalf("analyzed %d events, want %d", res.Events, g.TotalEvents())
 				}
 			}
+			b.ReportMetric(float64(g.TotalEvents())*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 		})
 	}
 }

@@ -49,7 +49,6 @@ func BenchmarkServerThroughputObs(b *testing.B) {
 				grids[i] = benchGrid(b, int64(i))
 				events += int64(grids[i].TotalEvents())
 			}
-			b.SetBytes(events)
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				var wg sync.WaitGroup
@@ -68,6 +67,7 @@ func BenchmarkServerThroughputObs(b *testing.B) {
 				}
 				wg.Wait()
 			}
+			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 		})
 	}
 }

@@ -581,6 +581,26 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 	s.serveSession(conn, br, bw, sess, h.AckedEpoch)
+	if sess.errorSent {
+		lingerClose(conn, br)
+	}
+}
+
+// errorLinger bounds how long lingerClose drains an aborted connection.
+const errorLinger = time.Second
+
+// lingerClose half-closes conn and discards the client's input until the
+// client hangs up or errorLinger passes. An aborted client is usually still
+// streaming epochs, and closing a socket with unread input sends a TCP
+// reset: the client's next write fails and it drops the connection before
+// reading the error frame, then reconnects to find its session gone instead
+// of learning why it was aborted.
+func lingerClose(conn net.Conn, br *bufio.Reader) {
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.CloseWrite()
+	}
+	conn.SetReadDeadline(time.Now().Add(errorLinger))
+	io.Copy(io.Discard, br)
 }
 
 // reject answers a refused Hello.
@@ -602,6 +622,7 @@ func (s *Server) sessionError(bw *bufio.Writer, sess *session, code, reason stri
 	if err := proto.WriteJSON(bw, proto.FrameError, proto.ErrorMsg{Code: code, Reason: reason}); err == nil {
 		bw.Flush()
 	}
+	sess.errorSent = true
 	s.evict(sess, false)
 }
 

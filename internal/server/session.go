@@ -94,6 +94,10 @@ type session struct {
 	// slowStrikes counts tripped write deadlines (progressive disconnect:
 	// detach first, evict repeat offenders). Attached-goroutine only.
 	slowStrikes int
+	// errorSent marks a session aborted with an error frame on the current
+	// connection, which the handler then closes gracefully (lingerClose).
+	// Attached-goroutine only.
+	errorSent bool
 
 	// finished is set once End was processed and Done computed.
 	finished bool
@@ -244,8 +248,11 @@ func (sess *session) writeTrace(dir string, log *slog.Logger) {
 		return
 	}
 	sess.traceOnce.Do(func() {
+		// Written under a temporary name and renamed into place, so a
+		// reader polling for the file never sees a partial trace.
 		path := filepath.Join(dir, "session-"+sess.shortID+".json")
-		f, err := os.Create(path)
+		tmp := path + ".tmp"
+		f, err := os.Create(tmp)
 		if err != nil {
 			log.Error("session trace not written", "session", sess.shortID, "err", err.Error())
 			return
@@ -258,7 +265,11 @@ func (sess *session) writeTrace(dir string, log *slog.Logger) {
 		if e := f.Close(); err == nil {
 			err = e
 		}
+		if err == nil {
+			err = os.Rename(tmp, path)
+		}
 		if err != nil {
+			os.Remove(tmp)
 			log.Error("session trace not written", "session", sess.shortID, "path", path, "err", err.Error())
 			return
 		}
