@@ -17,6 +17,7 @@ import (
 	"butterfly/internal/epoch"
 	"butterfly/internal/lifeguard/addrcheck"
 	"butterfly/internal/lifeguard/lockset"
+	"butterfly/internal/lifeguard/memcheck"
 	"butterfly/internal/trace"
 )
 
@@ -31,8 +32,10 @@ const steadyAllocBudget = 8
 // allocates its slots up front, then reads and writes only allocated
 // memory, with occasional free/realloc churn so interval kernels do real
 // work. No reports means the gate measures the driver, not report
-// formatting.
-func steadyGrid(tb testing.TB, nthreads, perThread int) *epoch.Grid {
+// formatting. With define set, every allocation is followed by a write of
+// the whole slot, so no read sees undefined memory and the grid is clean
+// for MemCheck too.
+func steadyGrid(tb testing.TB, nthreads, perThread int, define bool) *epoch.Grid {
 	tb.Helper()
 	b := trace.NewBuilder(nthreads)
 	const (
@@ -45,15 +48,21 @@ func steadyGrid(tb testing.TB, nthreads, perThread int) *epoch.Grid {
 		rng := rand.New(rand.NewSource(int64(t + 1)))
 		base := uint64(heapBase + t*slots*slotSize)
 		own := func() uint64 { return base + uint64(rng.Intn(slots))*slotSize }
+		alloc := func(s uint64) {
+			b.Alloc(s, slotSize)
+			if define {
+				b.Write(s, slotSize)
+			}
+		}
 		for s := 0; s < slots; s++ {
-			b.Alloc(base+uint64(s)*slotSize, slotSize)
+			alloc(base + uint64(s)*slotSize)
 		}
 		for i := slots; i < perThread; i++ {
 			switch rng.Intn(32) {
 			case 0:
 				s := own()
 				b.Free(s, slotSize)
-				b.Alloc(s, slotSize)
+				alloc(s)
 				i++
 			case 1, 2, 3, 4, 5, 6, 7, 8, 9:
 				b.Write(own(), uint64(1+rng.Intn(slotSize)))
@@ -113,7 +122,12 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		lg   core.Lifeguard
 		grid func(tb testing.TB, nthreads, perThread int) *epoch.Grid
 	}{
-		{"addrcheck", addrcheck.New(0), steadyGrid},
+		{"addrcheck", addrcheck.New(0), func(tb testing.TB, nthreads, perThread int) *epoch.Grid {
+			return steadyGrid(tb, nthreads, perThread, false)
+		}},
+		{"memcheck", memcheck.New(0), func(tb testing.TB, nthreads, perThread int) *epoch.Grid {
+			return steadyGrid(tb, nthreads, perThread, true)
+		}},
 		{"lockset", lockset.New(), func(tb testing.TB, nthreads, perThread int) *epoch.Grid {
 			return lockGrid(tb, nthreads, perThread, 64, 0)
 		}},

@@ -87,14 +87,14 @@ type PassContext struct {
 	// implements WingAggregator: WingAggs[k] is the fold of epoch row
 	// l−1+k's summaries excluding the body's own thread, or nil where the
 	// window is clipped at a grid edge. WingAggs[1] (the body's own row,
-	// which always exists) is non-nil exactly when aggregation is active.
-	// Set only during the second pass; the wings slice is still passed.
+	// which always exists) is non-nil exactly when the lifeguard aggregates,
+	// at every shard count. Set only during the second pass; the wings slice
+	// is still passed.
 	WingAggs [3]any
 	// Sharding is the run's shard scheduler when the driver executes in
-	// sharded mode (DESIGN.md §11), nil otherwise. A sharded lifeguard
-	// branches on it: non-nil means SOS, Head, Epoch1Back/Epoch2Back and Own
-	// all carry the sharded representations, and the pass must run its work
-	// as per-shard tasks via Sharding.Do.
+	// sharded mode (DESIGN.md §11), nil otherwise. Non-nil means SOS, Head,
+	// Epoch1Back/Epoch2Back and Own all carry K = Sharding.K() pieces and
+	// the pass runs its per-shard work via Sharding.Do; nil means K = 1.
 	Sharding *Sharding
 }
 
@@ -257,11 +257,6 @@ func (d *Driver) Run(g *epoch.Grid) *Result {
 	m := d.metrics(T)
 	sh := d.newSharding(m)
 	wa, _ := d.LG.(WingAggregator)
-	if sh != nil {
-		// Sharded runs fold wings inside each per-shard task; the driver's
-		// whole-summary exclusive aggregates don't apply to sharded summaries.
-		wa = nil
-	}
 	var aggRows [][]any
 	var aggPre []any
 	if wa != nil {

@@ -5,8 +5,7 @@ package core_test
 // batch parallel, streaming serial, streaming pipelined, and streaming
 // pipelined through the wire codec — and all must produce identical
 // canonical reports and identical final SOS, for all four lifeguards. The
-// batch serial driver is the oracle: it is the direct transcription of the
-// paper's algorithm.
+// oracle is each lifeguard's reference run (references).
 
 import (
 	"bytes"
@@ -88,10 +87,16 @@ func randomTrace(rng *rand.Rand, nthreads int) *trace.Trace {
 	return b.Build()
 }
 
-// noAgg hides a lifeguard's WingAggregator implementation, forcing the
-// driver's naive per-body wing walk. The oracle always runs unaggregated,
-// so the prefix/suffix wing-fold path is differentially verified too.
-type noAgg struct{ core.Lifeguard }
+// references gives, per lifeguard, what every suite compares against: the
+// naive butterfly transcription next to the lifeguard's sequential oracle
+// (no pieces, pools, wing folds or recycling) where one exists, else the
+// lifeguard itself, run serial and unsharded.
+var references = map[string]func() core.Lifeguard{
+	"addrcheck":  func() core.Lifeguard { return addrcheck.NewReference(0) },
+	"memcheck":   func() core.Lifeguard { return memcheck.NewReference(0) },
+	"taintcheck": func() core.Lifeguard { return taintcheck.New() },
+	"lockset":    func() core.Lifeguard { return lockset.New() },
+}
 
 // canonReports returns a canonically sorted copy: (epoch, thread, index,
 // code, detail).
@@ -142,6 +147,9 @@ func TestDifferentialDrivers(t *testing.T) {
 		run  func(t *testing.T, lg core.Lifeguard, g *epoch.Grid) *core.Result
 	}
 	variants := []variant{
+		{"batch-serial", func(t *testing.T, lg core.Lifeguard, g *epoch.Grid) *core.Result {
+			return (&core.Driver{LG: lg}).Run(g)
+		}},
 		{"batch-parallel", func(t *testing.T, lg core.Lifeguard, g *epoch.Grid) *core.Result {
 			return (&core.Driver{LG: lg, Parallel: true}).Run(g)
 		}},
@@ -182,8 +190,7 @@ func TestDifferentialDrivers(t *testing.T) {
 				cfg := fmt.Sprintf("seed=%d threads=%d h=%d skew=%d epochs=%d events=%d",
 					seed, nthreads, h, maxSkew, g.NumEpochs(), g.TotalEvents())
 
-				// Oracle: the batch serial driver with the naive wing walk.
-				want := (&core.Driver{LG: noAgg{mk()}}).Run(g)
+				want := (&core.Driver{LG: references[lgName]()}).Run(g)
 				wantReports := canonReports(want.Reports)
 
 				for _, v := range variants {
@@ -193,11 +200,11 @@ func TestDifferentialDrivers(t *testing.T) {
 							v.name, cfg, got.Epochs, got.Events, want.Epochs, want.Events)
 					}
 					if !reflect.DeepEqual(canonReports(got.Reports), wantReports) {
-						t.Fatalf("%s %s: reports diverge from serial oracle\n got: %v\nwant: %v",
+						t.Fatalf("%s %s: reports diverge from the reference\n got: %v\nwant: %v",
 							v.name, cfg, canonReports(got.Reports), wantReports)
 					}
 					if !reflect.DeepEqual(got.FinalSOS, want.FinalSOS) {
-						t.Fatalf("%s %s: FinalSOS diverges from serial oracle\n got: %#v\nwant: %#v",
+						t.Fatalf("%s %s: FinalSOS diverges from the reference\n got: %#v\nwant: %#v",
 							v.name, cfg, got.FinalSOS, want.FinalSOS)
 					}
 				}
@@ -217,11 +224,15 @@ func TestDifferentialReportOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lgName, mk := range lifeguards {
-		want := (&core.Driver{LG: noAgg{mk()}}).Run(g)
+		want := (&core.Driver{LG: references[lgName]()}).Run(g)
+		ser := (&core.Driver{LG: mk()}).Run(g)
 		par := (&core.Driver{LG: mk(), Parallel: true}).Run(g)
 		str, err := (&core.Driver{LG: mk(), Parallel: true}).RunStream(epoch.NewGridRows(g))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ser.Reports, want.Reports) {
+			t.Errorf("%s: batch-serial report order differs from the reference", lgName)
 		}
 		if !reflect.DeepEqual(par.Reports, want.Reports) {
 			t.Errorf("%s: batch-parallel report order differs from serial", lgName)

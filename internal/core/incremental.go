@@ -64,10 +64,7 @@ func (d *Driver) newIncremental(T int, trim bool) (*Incremental, error) {
 	st := &streamState{d: d, T: T, res: &Result{}}
 	st.m = d.metrics(T)
 	st.sh = d.newSharding(st.m)
-	if st.sh == nil {
-		// Sharded runs fold wings inside each per-shard task (see Run).
-		st.wa, _ = d.LG.(WingAggregator)
-	}
+	st.wa, _ = d.LG.(WingAggregator)
 	st.fReports = make([][]Report, T)
 	st.sReports = make([][]Report, T)
 	st.wingScratch = make([][]Summary, T)

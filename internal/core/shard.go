@@ -13,9 +13,9 @@ import (
 // mutable maps: task k reads and writes only shard k of every set it
 // touches. Results are merged at two points only, both deterministic:
 //
-//   - per block, each pass merges its shards' per-event verdict bits in
-//     event order, reconstructing the exact report sequence a serial run
-//     emits (the lifeguards' check predicates are unions/ intersections over
+//   - per block, each pass merges its shards' flagged events in event
+//     order, reconstructing the exact report sequence a serial run emits
+//     (the lifeguards' check predicates are unions/intersections over
 //     bytes, so a whole-range check is the OR of its per-shard pieces);
 //
 //   - at the end of the run, the sharded final SOS is merged into the
@@ -109,15 +109,12 @@ func (sh *Sharding) Do(f func(k int)) {
 // is either fully sharded or fully unsharded — state representations never
 // mix mid-run.
 func (d *Driver) newSharding(m *driverMetrics) *Sharding {
-	if d.Shards <= 1 {
+	K := d.EffectiveShards()
+	if K == 1 {
 		return nil
 	}
-	sl, ok := d.LG.(ShardedLifeguard)
-	if !ok || !sl.CanShard() {
-		return nil
-	}
-	m.shardingConfigured(d.Shards)
-	return &Sharding{k: d.Shards, parallel: d.Parallel, m: m}
+	m.shardingConfigured(K)
+	return &Sharding{k: K, parallel: d.Parallel, m: m}
 }
 
 // EffectiveShards reports the shard count a run with this configuration

@@ -9,6 +9,7 @@ import (
 	"butterfly/internal/epoch"
 	"butterfly/internal/lifeguard/addrcheck"
 	"butterfly/internal/lifeguard/lockset"
+	"butterfly/internal/lifeguard/memcheck"
 	"butterfly/internal/trace"
 )
 
@@ -60,6 +61,8 @@ func BenchmarkShardedThroughput(b *testing.B) {
 		grid func(testing.TB) *epoch.Grid
 	}{
 		{"addrcheck", addrcheck.New(0), shardBenchGrid},
+		// The alloc gate's clean write-before-read MemCheck grid.
+		{"memcheck", memcheck.New(0), func(tb testing.TB) *epoch.Grid { return steadyGrid(tb, 4, 16384, true) }},
 		// The lock-mixed traffic of the end-to-end benchmark.
 		{"lockset", lockset.New(), func(tb testing.TB) *epoch.Grid { return lockGrid(tb, 4, 16384, 32, 128) }},
 	} {

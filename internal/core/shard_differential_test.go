@@ -1,8 +1,8 @@
 package core_test
 
-// Shard-invariance differential suite: the sharded drivers must be
-// byte-identical — same reports, same order, same final SOS — to the serial
-// unsharded oracle for every lifeguard, every driver mode, and every shard
+// Shard-invariance differential suite: the drivers must be byte-identical —
+// same reports, same order, same final SOS — to the reference run
+// (references) for every lifeguard, every driver mode, and every shard
 // count. This is the proof obligation behind Driver.Shards: sharding is a
 // scheduling decision, never an accuracy knob.
 
@@ -105,8 +105,7 @@ func runIncremental(t *testing.T, d *core.Driver, g *epoch.Grid) *core.Result {
 
 // TestDifferentialShardInvariance is the tentpole proof: every lifeguard ×
 // every driver mode × shards ∈ {1, 2, 3, 8} produces the exact report
-// sequence (order included) and the exact final SOS of the serial unsharded
-// oracle.
+// sequence (order included) and the exact final SOS of the reference run.
 func TestDifferentialShardInvariance(t *testing.T) {
 	type runner struct {
 		name string
@@ -146,7 +145,7 @@ func TestDifferentialShardInvariance(t *testing.T) {
 				cfg := fmt.Sprintf("seed=%d threads=%d h=%d epochs=%d events=%d",
 					seed, nthreads, h, g.NumEpochs(), g.TotalEvents())
 
-				want := (&core.Driver{LG: noAgg{mk()}}).Run(g)
+				want := (&core.Driver{LG: references[lgName]()}).Run(g)
 				if lgName == "lockset" && nthreads > 64 {
 					checkLocksetCoverage(t, g, want.Reports, rng)
 				}
@@ -162,11 +161,11 @@ func TestDifferentialShardInvariance(t *testing.T) {
 									name, got.Epochs, got.Events, want.Epochs, want.Events)
 							}
 							if !reflect.DeepEqual(got.Reports, want.Reports) {
-								t.Fatalf("%s: reports diverge from serial unsharded oracle\n got: %v\nwant: %v",
+								t.Fatalf("%s: reports diverge from the reference\n got: %v\nwant: %v",
 									name, got.Reports, want.Reports)
 							}
 							if !reflect.DeepEqual(got.FinalSOS, want.FinalSOS) {
-								t.Fatalf("%s: FinalSOS diverges from serial unsharded oracle\n got: %#v\nwant: %#v",
+								t.Fatalf("%s: FinalSOS diverges from the reference\n got: %#v\nwant: %#v",
 									name, got.FinalSOS, want.FinalSOS)
 							}
 						}

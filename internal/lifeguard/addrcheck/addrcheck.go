@@ -1,6 +1,6 @@
 // Package addrcheck implements the AddrCheck memory-checking lifeguard —
 // the paper's §6.1 instantiation of butterfly reaching expressions — plus
-// its sequential oracle.
+// its sequential oracle and a naive butterfly reference for the tests.
 //
 // AddrCheck verifies that every memory access touches allocated memory,
 // every free targets allocated memory, and every allocation targets
@@ -13,6 +13,9 @@
 // state"). Flagging is conservative: every true error is reported
 // (Theorem 6.1), at the cost of false positives when safe allocation
 // hand-offs land in adjacent epochs (Figure 9).
+//
+// The butterfly machinery — LSOS, epoch summary, wing fold, shard pieces,
+// pools — is lifeguard.Intervals; this package supplies the per-event rules.
 package addrcheck
 
 import (
@@ -20,7 +23,7 @@ import (
 
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
-	"butterfly/internal/sets"
+	"butterfly/internal/lifeguard"
 	"butterfly/internal/trace"
 )
 
@@ -38,35 +41,17 @@ const (
 	CodeIsolation = "addrcheck.concurrent-metadata-change"
 )
 
-// Butterfly is the butterfly-analysis AddrCheck lifeguard. It implements
-// core.Lifeguard with interval-set state.
+// Butterfly is the butterfly-analysis AddrCheck lifeguard. The SOS is the
+// set of allocated bytes.
 type Butterfly struct {
 	// FilterBelow ignores events whose address range lies entirely below
 	// this bound — the paper's heap-only configuration filters stack
 	// accesses. Zero monitors everything.
 	FilterBelow uint64
+	lifeguard.Intervals
 }
 
-var _ core.Lifeguard = (*Butterfly)(nil)
-
-// Summary is AddrCheck's first-pass block summary.
-type Summary struct {
-	// Gen and Kill are the sequential reaching-expressions block summary
-	// over bytes: Gen = allocated and still allocated at block end; Kill =
-	// freed and not reallocated.
-	Gen, Kill *sets.IntervalSet
-	// GenAny and KillAny are bytes allocated/freed *anywhere* in the block:
-	// the wings may interleave with any internal position, so isolation
-	// must consider every metadata change.
-	GenAny, KillAny *sets.IntervalSet
-	// Access is every byte read or written by the block.
-	Access *sets.IntervalSet
-}
-
-// changes returns the bytes whose allocation metadata the block changes.
-func (s *Summary) changes() *sets.IntervalSet {
-	return s.GenAny.Union(s.KillAny)
-}
+var _ core.ShardedLifeguard = (*Butterfly)(nil)
 
 // New returns a heap-only AddrCheck that ignores addresses below filterBelow.
 func New(filterBelow uint64) *Butterfly {
@@ -76,292 +61,72 @@ func New(filterBelow uint64) *Butterfly {
 // Name implements core.Lifeguard.
 func (a *Butterfly) Name() string { return "addrcheck" }
 
-// BottomState implements core.Lifeguard: nothing is allocated initially.
-func (a *Butterfly) BottomState() core.State { return sets.NewIntervalSet() }
-
-// StateSize implements core.StateSizer: the number of disjoint allocated
-// intervals in the SOS (its metadata footprint, not its byte coverage).
-func (a *Butterfly) StateSize(s core.State) int {
-	if si, ok := s.(sets.ShardedIntervals); ok {
-		return si.NumIntervals()
-	}
-	return s.(*sets.IntervalSet).NumIntervals()
-}
-
-// relevant reports whether AddrCheck monitors this event.
-func (a *Butterfly) relevant(e trace.Event) bool {
-	switch e.Kind {
-	case trace.Read, trace.Write, trace.Alloc, trace.Free:
-		return e.Hi() > a.FilterBelow
-	}
-	return false
-}
-
-func sum(s core.Summary) *Summary {
-	if s == nil {
-		return nil
-	}
-	return s.(*Summary)
-}
-
-// lsos computes LSOS_{l,t} (the reaching-expressions form, §5.2.1, over
-// intervals): head allocations survive unless another thread freed those
-// bytes in epoch l−2; SOS bytes survive unless the head freed them.
-// The returned set is pooled; callers release it with sets.PutSet.
-func (a *Butterfly) lsos(t trace.ThreadID, ctx core.PassContext) *sets.IntervalSet {
-	sos := ctx.SOS.(*sets.IntervalSet)
-	head := sum(ctx.Head)
-	out := sets.GetSet()
-	out.CopyFrom(sos)
-	if head == nil {
-		return out
-	}
-	fromHead := sets.GetSet()
-	fromHead.CopyFrom(head.Gen)
-	for tt, s2 := range ctx.Epoch2Back {
-		if trace.ThreadID(tt) == t || s2 == nil {
-			continue
+// rules: allocations generate, frees destroy; both change the allocation
+// metadata the wings see, and reads and writes are the accesses a
+// concurrent change conflicts with.
+var rules = lifeguard.IntervalRules{
+	First: func(v *lifeguard.PieceView, e trace.Event, lo, hi uint64) bool {
+		switch e.Kind {
+		case trace.Read, trace.Write:
+			v.Sum.Access.AddRange(lo, hi)
+			return !v.LSOS.ContainsRange(lo, hi)
+		case trace.Alloc:
+			bad := v.LSOS.OverlapsRange(lo, hi)
+			v.Generate(lo, hi)
+			v.Sum.Change.AddRange(lo, hi)
+			return bad
 		}
-		fromHead.SubtractInPlace(sum(s2).Kill)
+		bad := !v.LSOS.ContainsRange(lo, hi)
+		v.Destroy(lo, hi)
+		v.Sum.Change.AddRange(lo, hi)
+		return bad
+	},
+	// The paper flags, with s the body's summary and S the union of the
+	// wings',
+	//
+	//	((s.GEN ∪ s.KILL) ∩ (S.GEN ∪ S.KILL)) ∪
+	//	(s.ACCESS ∩ (S.GEN ∪ S.KILL)) ∪ (S.ACCESS ∩ (s.GEN ∪ s.KILL))
+	//
+	// attributed to the body instructions that touch it; the S.ACCESS term
+	// flags the body's allocs/frees (the wing access is flagged
+	// symmetrically when its own block is the body).
+	Second: func(v *lifeguard.PieceView, e trace.Event, lo, hi uint64) bool {
+		if e.Kind == trace.Read || e.Kind == trace.Write {
+			return v.WingChanged(lo, hi)
+		}
+		return v.WingChanged(lo, hi) || v.WingAccessed(lo, hi)
+	},
+	FirstReport:  firstReport,
+	SecondReport: secondReport,
+}
+
+func firstReport(e trace.Event) (string, string) {
+	lo, hi := e.Lo(), e.Hi()
+	switch e.Kind {
+	case trace.Alloc:
+		return CodeDoubleAlloc, fmt.Sprintf("allocation of [%#x,%#x) overlaps allocated memory", lo, hi)
+	case trace.Free:
+		return CodeUnallocFree, fmt.Sprintf("free of [%#x,%#x) not within allocated memory", lo, hi)
 	}
-	out.SubtractInPlace(head.Kill)
-	out.UnionInPlace(fromHead)
-	sets.PutSet(fromHead)
-	return out
+	return CodeUnallocAccess, fmt.Sprintf("%v of [%#x,%#x) not within allocated memory", e.Kind, lo, hi)
+}
+
+func secondReport(e trace.Event) (string, string) {
+	what := "an allocation-state change"
+	if e.Kind == trace.Alloc || e.Kind == trace.Free {
+		what = "a conflicting operation"
+	}
+	return CodeIsolation, fmt.Sprintf("%v of [%#x,%#x) concurrent with %s", e.Kind, e.Lo(), e.Hi(), what)
 }
 
 // FirstPass implements core.Lifeguard: build the block summary and run the
-// traditional per-instruction checks against the LSOS, updating it in place
-// (LSOS_{l,t,k} = GEN ∪ (LSOS_{l,t,k−1} − KILL)).
+// traditional per-instruction checks against the LSOS.
 func (a *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summary, []core.Report) {
-	if ctx.Sharding != nil {
-		return a.firstPassSharded(b, ctx, ctx.Sharding)
-	}
-	s := getSummary()
-	lsos := a.lsos(b.Thread, ctx)
-	defer sets.PutSet(lsos)
-	var reports []core.Report
-	flag := func(i int, code, detail string) {
-		reports = append(reports, core.Report{Ref: b.Ref(i), Ev: b.Events[i], Code: code, Detail: detail})
-	}
-	for i, e := range b.Events {
-		if !a.relevant(e) {
-			continue
-		}
-		lo, hi := e.Lo(), e.Hi()
-		switch e.Kind {
-		case trace.Read, trace.Write:
-			s.Access.AddRange(lo, hi)
-			if !lsos.ContainsRange(lo, hi) {
-				flag(i, CodeUnallocAccess, fmt.Sprintf("%v of [%#x,%#x) not within allocated memory", e.Kind, lo, hi))
-			}
-		case trace.Alloc:
-			if lsos.OverlapsRange(lo, hi) {
-				flag(i, CodeDoubleAlloc, fmt.Sprintf("allocation of [%#x,%#x) overlaps allocated memory", lo, hi))
-			}
-			lsos.AddRange(lo, hi)
-			s.Gen.AddRange(lo, hi)
-			s.Kill.RemoveRange(lo, hi)
-			s.GenAny.AddRange(lo, hi)
-		case trace.Free:
-			if !lsos.ContainsRange(lo, hi) {
-				flag(i, CodeUnallocFree, fmt.Sprintf("free of [%#x,%#x) not within allocated memory", lo, hi))
-			}
-			lsos.RemoveRange(lo, hi)
-			s.Kill.AddRange(lo, hi)
-			s.Gen.RemoveRange(lo, hi)
-			s.KillAny.AddRange(lo, hi)
-		}
-	}
-	return s, reports
+	return rules.FirstPass(b, ctx, a.FilterBelow)
 }
 
-// wingAgg is AddrCheck's driver-maintained wing aggregate (the SIDE-IN
-// fold): the union of the covered blocks' metadata changes and accesses.
-type wingAgg struct {
-	changes, access *sets.IntervalSet
-}
-
-var _ core.WingAggregator = (*Butterfly)(nil)
-
-// EmptyWings implements core.WingAggregator. The identity fold comes from
-// the wing pool like every other fold: the driver hands it back through
-// RecycleWings with the rest of the aggregate row.
-func (a *Butterfly) EmptyWings() any {
-	return getWingAgg()
-}
-
-// AddWing implements core.WingAggregator. The result comes from the wing
-// pool; the driver hands dead folds back through RecycleWings.
-func (a *Butterfly) AddWing(agg any, s core.Summary) any {
-	w, ss := agg.(*wingAgg), sum(s)
-	out := getWingAgg()
-	out.changes.CopyFrom(w.changes)
-	out.access.CopyFrom(w.access)
-	out.changes.UnionInPlace(ss.GenAny)
-	out.changes.UnionInPlace(ss.KillAny)
-	out.access.UnionInPlace(ss.Access)
-	return out
-}
-
-// MergeWings implements core.WingAggregator.
-func (a *Butterfly) MergeWings(x, y any) any {
-	wx, wy := x.(*wingAgg), y.(*wingAgg)
-	out := getWingAgg()
-	out.changes.CopyFrom(wx.changes)
-	out.access.CopyFrom(wx.access)
-	out.changes.UnionInPlace(wy.changes)
-	out.access.UnionInPlace(wy.access)
-	return out
-}
-
-// SecondPass implements core.Lifeguard: the isolation check. With s the
-// body's summary and S the union of the wings', the paper flags
-//
-//	((s.GEN ∪ s.KILL) ∩ (S.GEN ∪ S.KILL)) ∪
-//	(s.ACCESS ∩ (S.GEN ∪ S.KILL)) ∪ (S.ACCESS ∩ (s.GEN ∪ s.KILL))
-//
-// We attribute each element of this set to the body instructions that touch
-// it; the S.ACCESS ∩ s-changes term flags the body's allocs/frees (the wing
-// access is flagged symmetrically when its own block is the body).
+// SecondPass implements core.Lifeguard: the isolation check against the
+// wings.
 func (a *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []core.Summary) []core.Report {
-	if ctx.Sharding != nil {
-		return a.secondPassSharded(b, wings, ctx.Sharding)
-	}
-	// The checks only ever ask "does [lo,hi) overlap the wing union?" —
-	// overlap against a union is overlap against any member, so with
-	// driver-folded aggregates each query probes the ≤3 window rows
-	// directly and no per-body union is materialized at all.
-	var aggs [3]*wingAgg
-	nagg, live := 0, false
-	var tmp *wingAgg
-	if ctx.WingAggs[1] != nil {
-		for _, agg := range ctx.WingAggs {
-			if agg == nil {
-				continue
-			}
-			w := agg.(*wingAgg)
-			aggs[nagg] = w
-			nagg++
-			live = live || !w.changes.Empty() || !w.access.Empty()
-		}
-	} else {
-		tmp = getWingAgg()
-		defer putWingAgg(tmp)
-		for _, ws := range wings {
-			s := sum(ws)
-			tmp.changes.UnionInPlace(s.GenAny)
-			tmp.changes.UnionInPlace(s.KillAny)
-			tmp.access.UnionInPlace(s.Access)
-		}
-		aggs[0], nagg = tmp, 1
-		live = !tmp.changes.Empty() || !tmp.access.Empty()
-	}
-	if !live {
-		return nil
-	}
-	changed := func(lo, hi uint64) bool {
-		for _, w := range aggs[:nagg] {
-			if w.changes.OverlapsRange(lo, hi) {
-				return true
-			}
-		}
-		return false
-	}
-	accessed := func(lo, hi uint64) bool {
-		for _, w := range aggs[:nagg] {
-			if w.access.OverlapsRange(lo, hi) {
-				return true
-			}
-		}
-		return false
-	}
-	var reports []core.Report
-	for i, e := range b.Events {
-		if !a.relevant(e) {
-			continue
-		}
-		lo, hi := e.Lo(), e.Hi()
-		switch e.Kind {
-		case trace.Read, trace.Write:
-			if changed(lo, hi) {
-				reports = append(reports, core.Report{
-					Ref: b.Ref(i), Ev: e, Code: CodeIsolation,
-					Detail: fmt.Sprintf("%v of [%#x,%#x) concurrent with an allocation-state change", e.Kind, lo, hi),
-				})
-			}
-		case trace.Alloc, trace.Free:
-			if changed(lo, hi) || accessed(lo, hi) {
-				reports = append(reports, core.Report{
-					Ref: b.Ref(i), Ev: e, Code: CodeIsolation,
-					Detail: fmt.Sprintf("%v of [%#x,%#x) concurrent with a conflicting operation", e.Kind, lo, hi),
-				})
-			}
-		}
-	}
-	return reports
-}
-
-// UpdateSOS implements core.Lifeguard with the reaching-expressions epoch
-// summary (§5.2) over intervals:
-//
-//	KILLₗ = ⋃ₜ KILL_{l,t}
-//	GENₗ  = ⋃ₜ (GEN_{l,t} − ⋃_{t'≠t}(killedSpan(t') − gennedSpan(t')))
-//
-// where killedSpan(t') = KILL_{l−1,t'} ∪ KILL_{l,t'} and gennedSpan(t') =
-// (GEN_{l−1,t'} − KILL_{l,t'}) ∪ GEN_{l,t'} — a byte allocated by thread t
-// survives every interleaving only if no other thread's net effect can
-// deallocate it.
-func (a *Butterfly) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
-	sos := prev.(*sets.IntervalSet)
-	gen, kill := a.epochGenKill(prevEpoch, curEpoch)
-	out := sets.GetSet()
-	out.CopyFrom(sos)
-	out.SubtractInPlace(kill)
-	out.UnionInPlace(gen)
-	sets.PutSet(gen)
-	sets.PutSet(kill)
-	return out
-}
-
-func (a *Butterfly) epochGenKill(prevEpoch, curEpoch []core.Summary) (gen, kill *sets.IntervalSet) {
-	kill = sets.GetSet()
-	for _, s := range curEpoch {
-		kill.UnionInPlace(sum(s).Kill)
-	}
-	gen = sets.GetSet()
-	g := sets.GetSet()
-	killedSpan := sets.GetSet()
-	gennedSpan := sets.GetSet()
-	scratch := sets.GetSet()
-	T := len(curEpoch)
-	for t := 0; t < T; t++ {
-		g.CopyFrom(sum(curEpoch[t]).Gen)
-		for tt := 0; tt < T; tt++ {
-			if tt == t || g.Empty() {
-				continue
-			}
-			cur := sum(curEpoch[tt])
-			var prev *Summary
-			if prevEpoch != nil {
-				prev = sum(prevEpoch[tt])
-			}
-			killedSpan.CopyFrom(cur.Kill)
-			gennedSpan.CopyFrom(cur.Gen)
-			if prev != nil {
-				killedSpan.UnionInPlace(prev.Kill)
-				scratch.CopyFrom(prev.Gen)
-				scratch.SubtractInPlace(cur.Kill)
-				gennedSpan.UnionInPlace(scratch)
-			}
-			killedSpan.SubtractInPlace(gennedSpan)
-			g.SubtractInPlace(killedSpan)
-		}
-		gen.UnionInPlace(g)
-	}
-	sets.PutSet(g)
-	sets.PutSet(killedSpan)
-	sets.PutSet(gennedSpan)
-	sets.PutSet(scratch)
-	return gen, kill
+	return rules.SecondPass(b, ctx, wings, a.FilterBelow)
 }

@@ -20,6 +20,10 @@
 // undefined memory visible under some valid ordering is reported (zero
 // false negatives), at the cost of conservative positives near epoch
 // boundaries.
+//
+// The butterfly machinery — LSOS, epoch summary, wing fold, shard pieces,
+// pools — is lifeguard.Intervals, shared with AddrCheck; this package
+// supplies the per-event rules.
 package memcheck
 
 import (
@@ -27,7 +31,7 @@ import (
 
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
-	"butterfly/internal/sets"
+	"butterfly/internal/lifeguard"
 	"butterfly/internal/trace"
 )
 
@@ -39,28 +43,16 @@ const (
 	CodeIsolation = "memcheck.concurrent-definedness-change"
 )
 
-// Butterfly is the butterfly-analysis MemCheck lifeguard.
+// Butterfly is the butterfly-analysis MemCheck lifeguard. The SOS is the
+// set of defined bytes.
 type Butterfly struct {
 	// FilterBelow ignores events whose byte range lies entirely below this
 	// bound (heap-only monitoring).
 	FilterBelow uint64
+	lifeguard.Intervals
 }
 
-var _ core.Lifeguard = (*Butterfly)(nil)
-
-// Summary is MemCheck's first-pass block summary.
-type Summary struct {
-	// Gen and Kill are the sequential block summary over bytes: Gen =
-	// defined at block end, Kill = undefined (allocated or freed) and not
-	// redefined.
-	Gen, Kill *sets.IntervalSet
-	// KillAny is every byte whose definedness the block destroys anywhere
-	// (exposed to the wings: the destruction may interleave with any body
-	// position).
-	KillAny *sets.IntervalSet
-	// Reads is every byte the block reads (for the isolation check).
-	Reads *sets.IntervalSet
-}
+var _ core.ShardedLifeguard = (*Butterfly)(nil)
 
 // New returns a MemCheck ignoring addresses below filterBelow.
 func New(filterBelow uint64) *Butterfly { return &Butterfly{FilterBelow: filterBelow} }
@@ -68,175 +60,46 @@ func New(filterBelow uint64) *Butterfly { return &Butterfly{FilterBelow: filterB
 // Name implements core.Lifeguard.
 func (m *Butterfly) Name() string { return "memcheck" }
 
-// BottomState implements core.Lifeguard: nothing is defined initially.
-func (m *Butterfly) BottomState() core.State { return sets.NewIntervalSet() }
-
-// StateSize implements core.StateSizer: the number of disjoint defined
-// intervals in the SOS.
-func (m *Butterfly) StateSize(s core.State) int {
-	if si, ok := s.(sets.ShardedIntervals); ok {
-		return si.NumIntervals()
-	}
-	return s.(*sets.IntervalSet).NumIntervals()
-}
-
-func (m *Butterfly) relevant(e trace.Event) bool {
-	switch e.Kind {
-	case trace.Read, trace.Write, trace.Alloc, trace.Free:
-		return e.Hi() > m.FilterBelow
-	}
-	return false
-}
-
-func sum(s core.Summary) *Summary {
-	if s == nil {
-		return nil
-	}
-	return s.(*Summary)
-}
-
-// lsos computes the defined-bytes LSOS (the §5.2 reaching-expressions
-// form): head definitions survive unless another thread undefined those
-// bytes in epoch l−2; SOS bytes survive unless the head undefined them.
-// The returned set is pooled; callers release it with sets.PutSet.
-func (m *Butterfly) lsos(t trace.ThreadID, ctx core.PassContext) *sets.IntervalSet {
-	sos := ctx.SOS.(*sets.IntervalSet)
-	head := sum(ctx.Head)
-	out := sets.GetSet()
-	out.CopyFrom(sos)
-	if head == nil {
-		return out
-	}
-	fromHead := sets.GetSet()
-	fromHead.CopyFrom(head.Gen)
-	for tt, s2 := range ctx.Epoch2Back {
-		if trace.ThreadID(tt) == t || s2 == nil {
-			continue
+// rules: stores generate definedness, allocations and frees destroy it,
+// and only destructions are exposed to the wings — a wing *write* only adds
+// definedness, which is at worst early (like the paper's "tainted early"
+// argument, harmless to soundness).
+var rules = lifeguard.IntervalRules{
+	First: func(v *lifeguard.PieceView, e trace.Event, lo, hi uint64) bool {
+		switch e.Kind {
+		case trace.Read:
+			return !v.LSOS.ContainsRange(lo, hi)
+		case trace.Write:
+			v.Generate(lo, hi)
+		default:
+			v.Destroy(lo, hi)
+			v.Sum.Change.AddRange(lo, hi)
 		}
-		fromHead.SubtractInPlace(sum(s2).Kill)
-	}
-	out.SubtractInPlace(head.Kill)
-	out.UnionInPlace(fromHead)
-	sets.PutSet(fromHead)
-	return out
+		return false
+	},
+	Second: func(v *lifeguard.PieceView, e trace.Event, lo, hi uint64) bool {
+		return e.Kind == trace.Read && v.WingChanged(lo, hi)
+	},
+	FirstReport:  firstReport,
+	SecondReport: secondReport,
+}
+
+func firstReport(e trace.Event) (string, string) {
+	return CodeUndefRead, fmt.Sprintf("read of [%#x,%#x) may see uninitialized memory", e.Lo(), e.Hi())
+}
+
+func secondReport(e trace.Event) (string, string) {
+	return CodeIsolation, fmt.Sprintf("read of [%#x,%#x) concurrent with a definedness change", e.Lo(), e.Hi())
 }
 
 // FirstPass implements core.Lifeguard: build the summary and run the
 // per-instruction definedness checks against the LSOS.
 func (m *Butterfly) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summary, []core.Report) {
-	if ctx.Sharding != nil {
-		return m.firstPassSharded(b, ctx, ctx.Sharding)
-	}
-	s := getSummary()
-	lsos := m.lsos(b.Thread, ctx)
-	defer sets.PutSet(lsos)
-	var reports []core.Report
-	for i, e := range b.Events {
-		if !m.relevant(e) {
-			continue
-		}
-		lo, hi := e.Lo(), e.Hi()
-		switch e.Kind {
-		case trace.Read:
-			s.Reads.AddRange(lo, hi)
-			if !lsos.ContainsRange(lo, hi) {
-				reports = append(reports, core.Report{
-					Ref: b.Ref(i), Ev: e, Code: CodeUndefRead,
-					Detail: fmt.Sprintf("read of [%#x,%#x) may see uninitialized memory", lo, hi),
-				})
-			}
-		case trace.Write:
-			lsos.AddRange(lo, hi)
-			s.Gen.AddRange(lo, hi)
-			s.Kill.RemoveRange(lo, hi)
-		case trace.Alloc, trace.Free:
-			lsos.RemoveRange(lo, hi)
-			s.Kill.AddRange(lo, hi)
-			s.Gen.RemoveRange(lo, hi)
-			s.KillAny.AddRange(lo, hi)
-		}
-	}
-	return s, reports
+	return rules.FirstPass(b, ctx, m.FilterBelow)
 }
 
 // SecondPass implements core.Lifeguard: flag reads racing a definedness
-// destruction in the wings. (Wing *writes* only add definedness, which is
-// at worst early — like the paper's "tainted early" argument, harmless to
-// soundness.)
+// destruction in the wings.
 func (m *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []core.Summary) []core.Report {
-	if ctx.Sharding != nil {
-		return m.secondPassSharded(b, wings, ctx.Sharding)
-	}
-	wingKills := sets.GetSet()
-	defer sets.PutSet(wingKills)
-	for _, w := range wings {
-		wingKills.UnionInPlace(sum(w).KillAny)
-	}
-	if wingKills.Empty() {
-		return nil
-	}
-	var reports []core.Report
-	for i, e := range b.Events {
-		if e.Kind != trace.Read || !m.relevant(e) {
-			continue
-		}
-		if wingKills.OverlapsRange(e.Lo(), e.Hi()) {
-			reports = append(reports, core.Report{
-				Ref: b.Ref(i), Ev: e, Code: CodeIsolation,
-				Detail: fmt.Sprintf("read of [%#x,%#x) concurrent with a definedness change", e.Lo(), e.Hi()),
-			})
-		}
-	}
-	return reports
-}
-
-// UpdateSOS implements core.Lifeguard with the §5.2 epoch summary over
-// intervals (identical shape to AddrCheck's, with definedness facts).
-func (m *Butterfly) UpdateSOS(prev core.State, prevEpoch, curEpoch []core.Summary) core.State {
-	sos := prev.(*sets.IntervalSet)
-	kill := sets.GetSet()
-	for _, s := range curEpoch {
-		kill.UnionInPlace(sum(s).Kill)
-	}
-	gen := sets.GetSet()
-	g := sets.GetSet()
-	killedSpan := sets.GetSet()
-	gennedSpan := sets.GetSet()
-	scratch := sets.GetSet()
-	T := len(curEpoch)
-	for t := 0; t < T; t++ {
-		g.CopyFrom(sum(curEpoch[t]).Gen)
-		for tt := 0; tt < T; tt++ {
-			if tt == t || g.Empty() {
-				continue
-			}
-			cur := sum(curEpoch[tt])
-			var prev *Summary
-			if prevEpoch != nil {
-				prev = sum(prevEpoch[tt])
-			}
-			killedSpan.CopyFrom(cur.Kill)
-			gennedSpan.CopyFrom(cur.Gen)
-			if prev != nil {
-				killedSpan.UnionInPlace(prev.Kill)
-				scratch.CopyFrom(prev.Gen)
-				scratch.SubtractInPlace(cur.Kill)
-				gennedSpan.UnionInPlace(scratch)
-			}
-			killedSpan.SubtractInPlace(gennedSpan)
-			g.SubtractInPlace(killedSpan)
-		}
-		gen.UnionInPlace(g)
-	}
-	out := sets.GetSet()
-	out.CopyFrom(sos)
-	out.SubtractInPlace(kill)
-	out.UnionInPlace(gen)
-	sets.PutSet(kill)
-	sets.PutSet(gen)
-	sets.PutSet(g)
-	sets.PutSet(killedSpan)
-	sets.PutSet(gennedSpan)
-	sets.PutSet(scratch)
-	return out
+	return rules.SecondPass(b, ctx, wings, m.FilterBelow)
 }

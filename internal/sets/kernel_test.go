@@ -311,3 +311,15 @@ func TestSteadyStateKernelAllocs(t *testing.T) {
 		t.Fatalf("steady-state kernel allocs/op = %v, want 0", avg)
 	}
 }
+
+// TestBackingSizeClasses pins the pool's size classes: a small request is
+// never served a released SOS-sized array, so a long-lived small set cannot
+// pin one.
+func TestBackingSizeClasses(t *testing.T) {
+	for i := 0; i < 4; i++ {
+		putBacking(make([]Interval, 0, 4*smallBacking))
+		if got := cap(getBacking(16)); got > smallBacking {
+			t.Fatalf("getBacking(16) returned capacity %d, above the small class (%d)", got, smallBacking)
+		}
+	}
+}

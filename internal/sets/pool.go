@@ -15,8 +15,13 @@ package sets
 //     sync.Pool cannot hold a bare slice without boxing it on every Put (an
 //     allocation, exactly what the pool exists to avoid), so slices travel
 //     inside reusable *ivSlice boxes that cycle between two pools: boxes
-//     carrying a slice sit in backingPool, empty boxes in boxPool. Boxes are
-//     allocated only when both pools are cold.
+//     carrying a slice sit in backingPools, empty boxes in boxPool. Boxes
+//     are allocated only when both pools are cold. Backings are pooled by
+//     size class: a request of up to smallBacking intervals is never served
+//     an SOS-sized array, which a long-lived block-level set (a summary, a
+//     wing fold) would otherwise hold for the whole butterfly window while
+//     every SOS-sized request allocated afresh. Fresh backings get 25%
+//     headroom so that growing sets keep fitting pooled ones.
 //
 // Ownership discipline: a slice handed to putBacking must have no other
 // referent — the caller transfers ownership. Inline (small-array) backings
@@ -29,15 +34,26 @@ import "sync"
 type ivSlice struct{ s []Interval }
 
 var (
-	boxPool     sync.Pool // empty *ivSlice boxes
-	backingPool sync.Pool // *ivSlice boxes carrying a released slice
-	setPool     sync.Pool // empty *IntervalSet values
+	boxPool      sync.Pool    // empty *ivSlice boxes
+	backingPools [2]sync.Pool // *ivSlice boxes carrying a released slice, by backingClass
+	setPool      sync.Pool    // empty *IntervalSet values
 )
 
+// smallBacking is the largest capacity, in intervals, of the small size
+// class.
+const smallBacking = 1024
+
+func backingClass(n int) int {
+	if n > smallBacking {
+		return 1
+	}
+	return 0
+}
+
 // getBacking returns a zero-length []Interval with capacity at least min,
-// reusing a pooled backing when one fits.
+// reusing a pooled backing of min's size class when one fits.
 func getBacking(min int) []Interval {
-	if b, _ := backingPool.Get().(*ivSlice); b != nil {
+	if b, _ := backingPools[backingClass(min)].Get().(*ivSlice); b != nil {
 		s := b.s
 		b.s = nil
 		boxPool.Put(b)
@@ -48,7 +64,9 @@ func getBacking(min int) []Interval {
 	if min < 8 {
 		min = 8
 	}
-	return make([]Interval, 0, min)
+	// Headroom: sets grow (an SOS by a block's worth per epoch), and an
+	// exact fit would miss the pool on every later, slightly larger copy.
+	return make([]Interval, 0, min+min/4)
 }
 
 // poisonAddr fills released backings in race builds: a live aliased reader
@@ -73,7 +91,7 @@ func putBacking(s []Interval) {
 		b = new(ivSlice)
 	}
 	b.s = s[:0]
-	backingPool.Put(b)
+	backingPools[backingClass(cap(s))].Put(b)
 }
 
 // mapPool recycles fact-set maps. A Set is pointer-shaped, so Get/Put do not
