@@ -31,6 +31,7 @@ fuzz:
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzStreamReader -fuzztime 30s
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzReadText -fuzztime 30s
 	$(GO) test ./internal/proto -run XXX -fuzz FuzzServerFrameDecoder -fuzztime 30s
+	$(GO) test ./internal/proto -run XXX -fuzz FuzzReportsDecoder -fuzztime 30s
 	$(GO) test ./internal/store -run XXX -fuzz FuzzWALDecoder -fuzztime 30s
 
 # Shorter fuzz pass for the CI gate: 10s per decoder, seeded from testdata/.
@@ -39,6 +40,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzStreamReader -fuzztime 10s
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzReadText -fuzztime 10s
 	$(GO) test ./internal/proto -run XXX -fuzz FuzzServerFrameDecoder -fuzztime 10s
+	$(GO) test ./internal/proto -run XXX -fuzz FuzzReportsDecoder -fuzztime 10s
 	$(GO) test ./internal/store -run XXX -fuzz FuzzWALDecoder -fuzztime 10s
 
 # Shard-invariance gate: every lifeguard x driver at shards {1,2,3,8} must be

@@ -31,6 +31,11 @@ import (
 	"butterfly/internal/obs"
 	"butterfly/internal/proto"
 	"butterfly/internal/trace"
+
+	// Reports arrive structured; the lifeguard packages register the
+	// renderers that give them text (core.Report.Text), so a program
+	// printing a remote result always links them in.
+	_ "butterfly/internal/lifeguard/registry"
 )
 
 // ErrUnreachable marks a run that gave up without ever completing a
@@ -435,14 +440,17 @@ func (r *run) readWelcome(br *bufio.Reader) (*proto.Welcome, error) {
 	}
 }
 
-// readLoop consumes server frames until Done or a transport error.
+// readLoop consumes server frames until Done or a transport error. Frames
+// are read into one reused buffer; every payload is decoded before the
+// next read.
 func (r *run) readLoop(br *bufio.Reader) {
+	fr := proto.NewFrameReader(br)
 	for {
 		if err := failpoint.Inject(failpoint.SiteClientRead); err != nil {
 			r.setConnErr(fmt.Errorf("client: connection lost: %w", err))
 			return
 		}
-		ft, payload, err := proto.ReadFrame(br)
+		ft, payload, err := fr.Read()
 		if err != nil {
 			r.setConnErr(fmt.Errorf("client: connection lost: %w", err))
 			return
@@ -626,7 +634,14 @@ func (r *run) assemble() *core.Result {
 		ticks = append(ticks, tick)
 	}
 	sort.Ints(ticks)
+	n := 0
+	for _, reps := range r.reports {
+		n += len(reps)
+	}
 	res := &core.Result{Epochs: r.done.Epochs, Events: r.done.Events}
+	if n > 0 {
+		res.Reports = make([]core.Report, 0, n)
+	}
 	for _, tick := range ticks {
 		res.Reports = append(res.Reports, r.reports[tick]...)
 	}

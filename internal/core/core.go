@@ -56,12 +56,42 @@ type Report struct {
 	// Code is a stable, machine-readable condition name
 	// (e.g. "addrcheck.unallocated-access").
 	Code string
-	// Detail is a human-readable explanation.
+	// Detail is optional free text for what Code and Ev do not say (a
+	// LockSet race's racing bytes and thread set). A lifeguard whose text is
+	// a pure function of (Code, Ev) leaves it empty and registers a renderer
+	// instead, so its reports stay structured until Text renders them.
 	Detail string
 }
 
+// renderers maps a report code to the function rendering its text from the
+// triggering event. Filled by RegisterRenderer from package init functions
+// and read-only afterwards.
+var renderers = map[string]func(trace.Event) string{}
+
+// RegisterRenderer makes render the text of every report with the given
+// code and an empty Detail. Lifeguards call it from an init function, once
+// per code they emit; registering a code twice panics.
+func RegisterRenderer(code string, render func(ev trace.Event) string) {
+	if _, dup := renderers[code]; dup {
+		panic("core: report renderer registered twice for " + code)
+	}
+	renderers[code] = render
+}
+
+// Text is the report's human-readable explanation: Detail if it is set,
+// else the rendering registered for Code, else "".
+func (r Report) Text() string {
+	if r.Detail != "" {
+		return r.Detail
+	}
+	if render := renderers[r.Code]; render != nil {
+		return render(r.Ev)
+	}
+	return ""
+}
+
 func (r Report) String() string {
-	return fmt.Sprintf("%s at %v [%v]: %s", r.Code, r.Ref, r.Ev, r.Detail)
+	return fmt.Sprintf("%s at %v [%v]: %s", r.Code, r.Ref, r.Ev, r.Text())
 }
 
 // PassContext carries the strongly ordered inputs available to a pass over

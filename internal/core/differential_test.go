@@ -99,7 +99,7 @@ var references = map[string]func() core.Lifeguard{
 }
 
 // canonReports returns a canonically sorted copy: (epoch, thread, index,
-// code, detail).
+// code, text).
 func canonReports(rs []core.Report) []core.Report {
 	out := append([]core.Report(nil), rs...)
 	sort.Slice(out, func(i, j int) bool {
@@ -116,7 +116,7 @@ func canonReports(rs []core.Report) []core.Report {
 		if a.Code != b.Code {
 			return a.Code < b.Code
 		}
-		return a.Detail < b.Detail
+		return a.Text() < b.Text()
 	})
 	return out
 }

@@ -71,6 +71,9 @@ type driverMetrics struct {
 	gcPause, gcCycles            *obs.Gauge
 	allocsPerEpoch               *obs.Gauge
 
+	// reportCounters caches the reports.<code> counters (countReports).
+	reportCounters map[string]*obs.Counter
+
 	// GC sampling state, touched only by the single goroutine that calls
 	// epochDone (the batch loop or the stream collector).
 	gcCountdown   int
@@ -93,6 +96,7 @@ func (d *Driver) metrics(T int) *driverMetrics {
 		reg:            reg,
 		trace:          d.Trace,
 		T:              T,
+		reportCounters: map[string]*obs.Counter{},
 		epochs:         reg.Counter(obs.MetricEpochs),
 		events:         reg.Counter(obs.MetricEvents),
 		blocks:         reg.Counter(obs.MetricBlocks),
@@ -265,14 +269,26 @@ func (m *driverMetrics) wingFolded(T int) {
 	m.wingFoldOps.Add(int64(3 * T))
 }
 
-// countReports bumps the per-code report counters. Called from the single
-// collector goroutine, so the map lookup inside Counter is uncontended;
-// reports are rare next to events either way.
+// countReports bumps the per-code report counters, one Add per run of
+// equal codes. Each code's counter is resolved in the registry once per
+// run and cached in m.reportCounters; countReports is called from the
+// single collector goroutine, so the cache needs no lock.
 func (m *driverMetrics) countReports(reps []Report) {
 	if m == nil || m.reg == nil {
 		return
 	}
-	for i := range reps {
-		m.reg.Counter(obs.ReportsPrefix + reps[i].Code).Inc()
+	for i := 0; i < len(reps); {
+		code := reps[i].Code
+		j := i + 1
+		for j < len(reps) && reps[j].Code == code {
+			j++
+		}
+		c := m.reportCounters[code]
+		if c == nil {
+			c = m.reg.Counter(obs.ReportsPrefix + code)
+			m.reportCounters[code] = c
+		}
+		c.Add(int64(j - i))
+		i = j
 	}
 }

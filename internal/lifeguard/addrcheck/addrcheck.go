@@ -100,23 +100,36 @@ var rules = lifeguard.IntervalRules{
 	SecondReport: secondReport,
 }
 
-func firstReport(e trace.Event) (string, string) {
-	lo, hi := e.Lo(), e.Hi()
+func firstReport(e trace.Event) string {
 	switch e.Kind {
 	case trace.Alloc:
-		return CodeDoubleAlloc, fmt.Sprintf("allocation of [%#x,%#x) overlaps allocated memory", lo, hi)
+		return CodeDoubleAlloc
 	case trace.Free:
-		return CodeUnallocFree, fmt.Sprintf("free of [%#x,%#x) not within allocated memory", lo, hi)
+		return CodeUnallocFree
 	}
-	return CodeUnallocAccess, fmt.Sprintf("%v of [%#x,%#x) not within allocated memory", e.Kind, lo, hi)
+	return CodeUnallocAccess
 }
 
-func secondReport(e trace.Event) (string, string) {
-	what := "an allocation-state change"
-	if e.Kind == trace.Alloc || e.Kind == trace.Free {
-		what = "a conflicting operation"
-	}
-	return CodeIsolation, fmt.Sprintf("%v of [%#x,%#x) concurrent with %s", e.Kind, e.Lo(), e.Hi(), what)
+func secondReport(trace.Event) string { return CodeIsolation }
+
+// The text of each code, rendered only where a report is read.
+func init() {
+	core.RegisterRenderer(CodeDoubleAlloc, func(e trace.Event) string {
+		return fmt.Sprintf("allocation of [%#x,%#x) overlaps allocated memory", e.Lo(), e.Hi())
+	})
+	core.RegisterRenderer(CodeUnallocFree, func(e trace.Event) string {
+		return fmt.Sprintf("free of [%#x,%#x) not within allocated memory", e.Lo(), e.Hi())
+	})
+	core.RegisterRenderer(CodeUnallocAccess, func(e trace.Event) string {
+		return fmt.Sprintf("%v of [%#x,%#x) not within allocated memory", e.Kind, e.Lo(), e.Hi())
+	})
+	core.RegisterRenderer(CodeIsolation, func(e trace.Event) string {
+		what := "an allocation-state change"
+		if e.Kind == trace.Alloc || e.Kind == trace.Free {
+			what = "a conflicting operation"
+		}
+		return fmt.Sprintf("%v of [%#x,%#x) concurrent with %s", e.Kind, e.Lo(), e.Hi(), what)
+	})
 }
 
 // FirstPass implements core.Lifeguard: build the block summary and run the

@@ -82,8 +82,7 @@ func (r *Reference) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 			s.change.AddRange(lo, hi)
 		}
 		if bad {
-			code, detail := firstReport(e)
-			reports = append(reports, core.Report{Ref: b.Ref(i), Ev: e, Code: code, Detail: detail})
+			reports = append(reports, core.Report{Ref: b.Ref(i), Ev: e, Code: firstReport(e)})
 		}
 	}
 	return s, reports
@@ -108,8 +107,7 @@ func (r *Reference) SecondPass(b *epoch.Block, _ core.PassContext, wings []core.
 			bad = bad || access.OverlapsRange(lo, hi)
 		}
 		if bad {
-			code, detail := secondReport(e)
-			reports = append(reports, core.Report{Ref: b.Ref(i), Ev: e, Code: code, Detail: detail})
+			reports = append(reports, core.Report{Ref: b.Ref(i), Ev: e, Code: secondReport(e)})
 		}
 	}
 	return reports

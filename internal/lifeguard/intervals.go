@@ -110,8 +110,9 @@ type IntervalRules struct {
 	// Second checks a piece against the wings (the isolation check).
 	Second func(v *PieceView, e trace.Event, lo, hi uint64) bool
 	// FirstReport and SecondReport name the condition a flagged event
-	// reports in each pass.
-	FirstReport, SecondReport func(e trace.Event) (code, detail string)
+	// reports in each pass. The report's text is the renderer the
+	// lifeguard registers for that code (core.RegisterRenderer).
+	FirstReport, SecondReport func(e trace.Event) (code string)
 }
 
 // relevant reports whether an interval lifeguard monitors e: a memory or
@@ -235,7 +236,7 @@ func (c *pieceScratch) scan(b *epoch.Block, k, K int, filterBelow uint64, rule f
 
 // reports merges the pieces' flagged events in event order, reporting each
 // once.
-func (s *scratch) reports(b *epoch.Block, report func(trace.Event) (string, string)) []core.Report {
+func (s *scratch) reports(b *epoch.Block, code func(trace.Event) string) []core.Report {
 	flagged := s.pieces[0].flagged
 	if len(s.pieces) > 1 {
 		s.all = s.all[:0]
@@ -251,8 +252,7 @@ func (s *scratch) reports(b *epoch.Block, report func(trace.Event) (string, stri
 	out := make([]core.Report, 0, len(flagged))
 	for _, i := range flagged {
 		e := b.Events[i]
-		code, detail := report(e)
-		out = append(out, core.Report{Ref: b.Ref(int(i)), Ev: e, Code: code, Detail: detail})
+		out = append(out, core.Report{Ref: b.Ref(int(i)), Ev: e, Code: code(e)})
 	}
 	return out
 }

@@ -84,12 +84,18 @@ var rules = lifeguard.IntervalRules{
 	SecondReport: secondReport,
 }
 
-func firstReport(e trace.Event) (string, string) {
-	return CodeUndefRead, fmt.Sprintf("read of [%#x,%#x) may see uninitialized memory", e.Lo(), e.Hi())
-}
+func firstReport(trace.Event) string { return CodeUndefRead }
 
-func secondReport(e trace.Event) (string, string) {
-	return CodeIsolation, fmt.Sprintf("read of [%#x,%#x) concurrent with a definedness change", e.Lo(), e.Hi())
+func secondReport(trace.Event) string { return CodeIsolation }
+
+// The text of each code, rendered only where a report is read.
+func init() {
+	core.RegisterRenderer(CodeUndefRead, func(e trace.Event) string {
+		return fmt.Sprintf("read of [%#x,%#x) may see uninitialized memory", e.Lo(), e.Hi())
+	})
+	core.RegisterRenderer(CodeIsolation, func(e trace.Event) string {
+		return fmt.Sprintf("read of [%#x,%#x) concurrent with a definedness change", e.Lo(), e.Hi())
+	})
 }
 
 // FirstPass implements core.Lifeguard: build the summary and run the

@@ -66,8 +66,7 @@ func (r *Reference) FirstPass(b *epoch.Block, ctx core.PassContext) (core.Summar
 		switch e.Kind {
 		case trace.Read:
 			if !lsos.ContainsRange(lo, hi) {
-				code, detail := firstReport(e)
-				reports = append(reports, core.Report{Ref: b.Ref(i), Ev: e, Code: code, Detail: detail})
+				reports = append(reports, core.Report{Ref: b.Ref(i), Ev: e, Code: firstReport(e)})
 			}
 		case trace.Write:
 			lsos.AddRange(lo, hi)
@@ -93,8 +92,7 @@ func (r *Reference) SecondPass(b *epoch.Block, _ core.PassContext, wings []core.
 	var reports []core.Report
 	for i, e := range b.Events {
 		if e.Kind == trace.Read && r.relevant(e) && kills.OverlapsRange(e.Lo(), e.Hi()) {
-			code, detail := secondReport(e)
-			reports = append(reports, core.Report{Ref: b.Ref(i), Ev: e, Code: code, Detail: detail})
+			reports = append(reports, core.Report{Ref: b.Ref(i), Ev: e, Code: secondReport(e)})
 		}
 	}
 	return reports

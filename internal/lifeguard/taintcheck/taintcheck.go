@@ -28,6 +28,13 @@ import (
 // CodeTaintedUse flags a critical use of tainted data.
 const CodeTaintedUse = "taintcheck.tainted-critical-use"
 
+// The report text, rendered only where a report is read.
+func init() {
+	core.RegisterRenderer(CodeTaintedUse, func(e trace.Event) string {
+		return fmt.Sprintf("value at %#x may be tainted at a critical use", e.Addr)
+	})
+}
+
 // Status is the resolved taint of a location or instruction: the lattice
 // {⊥ = tainted, ⊤ = untainted}, with unknown used internally before
 // resolution.
@@ -289,10 +296,7 @@ func (tc *Butterfly) SecondPass(b *epoch.Block, ctx core.PassContext, wings []co
 				r.resolveUse(e.Src2, i, local))
 		case trace.Jump:
 			if r.resolveUse(e.Addr, i, local) == Bot {
-				reports = append(reports, core.Report{
-					Ref: b.Ref(i), Ev: e, Code: CodeTaintedUse,
-					Detail: fmt.Sprintf("value at %#x may be tainted at a critical use", e.Addr),
-				})
+				reports = append(reports, core.Report{Ref: b.Ref(i), Ev: e, Code: CodeTaintedUse})
 			}
 		}
 	}

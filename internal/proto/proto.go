@@ -5,12 +5,15 @@
 //
 //	uint32 big-endian length | 1-byte frame type | payload (length−1 bytes)
 //
-// Control frames (Hello, Welcome, Reject, Reports, Done, Error) carry JSON
-// payloads — tiny, rare, and debuggable on the wire. Data frames reuse the
-// binary BFLYS1 stream codec: an Epoch frame is a uvarint epoch number
-// followed by the epoch-frame body encoding of trace.EncodeEpochRow, so the
-// service speaks exactly the format the in-process streaming driver
-// consumes. Ack frames are a bare uvarint epoch number.
+// Control frames (Hello, Welcome, Reject, Done, Error) carry JSON payloads
+// — tiny, rare, and debuggable on the wire. Data frames are binary. Epoch
+// frames reuse the BFLYS1 stream codec: a uvarint epoch number followed by
+// the epoch-frame body encoding of trace.EncodeEpochRow, so the service
+// speaks exactly the format the in-process streaming driver consumes. Ack
+// frames are a bare uvarint epoch number. Reports frames, which carry a
+// report per event on a report-heavy session, are varint rows of the
+// structured reports (reports.go): the server formats no report text, and
+// the reader renders it with core.Report.String.
 //
 // Session lifecycle (DESIGN.md §10):
 //
@@ -44,8 +47,9 @@ import (
 )
 
 // Version is the protocol revision carried in Hello; the server rejects
-// mismatches rather than guessing at compatibility.
-const Version = 1
+// mismatches rather than guessing at compatibility. Version 2 carries
+// Reports frames as binary rows instead of JSON.
+const Version = 2
 
 // MaxFrame bounds the accepted frame length (type byte + payload). An epoch
 // frame of a reasonable session fits comfortably; anything larger is a
@@ -70,8 +74,9 @@ const (
 	// FrameAck (server→client) acknowledges a checkpointed tick: uvarint
 	// epoch number.
 	FrameAck FrameType = 6
-	// FrameReports (server→client) delivers one tick's reports; JSON
-	// Reports. Sent only for ticks that produced reports.
+	// FrameReports (server→client) delivers one tick's reports; binary
+	// Reports (WriteReports, DecodeReports). Sent only for ticks that
+	// produced reports.
 	FrameReports FrameType = 7
 	// FrameDone (server→client) closes a completed session; JSON Done.
 	FrameDone FrameType = 8
@@ -166,11 +171,11 @@ type Reject struct {
 
 // Reports carries the reports of one analysis tick. Epoch is the tick
 // number; the trailing tick (Finish) uses the total epoch count, one past
-// the last fed epoch. Reports reuse core.Report verbatim: Ref and Event are
-// integer-field structs that round-trip JSON exactly.
+// the last fed epoch. Reports reuse core.Report verbatim, every field
+// round-tripping exactly (reports.go).
 type Reports struct {
-	Epoch   int           `json:"epoch"`
-	Reports []core.Report `json:"reports"`
+	Epoch   int
+	Reports []core.Report
 }
 
 // Done closes a completed session with its totals.
@@ -206,56 +211,27 @@ func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
 	return err
 }
 
-// WriteJSON marshals v and writes it as a frame of type t. Reports frames —
-// the only payload that is hot — take the hand-rolled encoder directly;
-// routing them through json.Marshal would re-validate and re-compact the
-// bytes MarshalJSON just produced.
+// WriteJSON marshals v and writes it as a frame of type t. A Reports value
+// is not JSON: it goes to WriteReports, so every caller writes the binary
+// Reports frame.
 func WriteJSON(w io.Writer, t FrameType, v any) error {
-	var payload []byte
-	var err error
-	if r, ok := v.(Reports); ok {
-		payload, err = r.MarshalJSON()
-	} else {
-		payload, err = json.Marshal(v)
+	if r, ok := v.(Reports); ok && t == FrameReports {
+		return WriteReports(w, r)
 	}
+	payload, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("proto: encoding %v: %w", t, err)
 	}
 	return WriteFrame(w, t, payload)
 }
 
-// ReadFrame reads one frame. A reader exhausted exactly at a frame boundary
-// returns io.EOF; one cut mid-frame returns an error matching
-// io.ErrUnexpectedEOF, so connection loss is distinguishable from protocol
-// corruption (mirroring the trace stream codec's contract).
+// ReadFrame reads one frame into a fresh buffer. A reader exhausted exactly
+// at a frame boundary returns io.EOF; one cut mid-frame returns an error
+// matching io.ErrUnexpectedEOF, so connection loss is distinguishable from
+// protocol corruption (mirroring the trace stream codec's contract). The
+// claimed length is never trusted for allocation (FrameReader).
 func ReadFrame(br *bufio.Reader) (FrameType, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("proto: frame length: %w", cut(err))
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return 0, nil, fmt.Errorf("proto: zero-length frame")
-	}
-	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("proto: frame of %d bytes exceeds MaxFrame", n)
-	}
-	tb, err := br.ReadByte()
-	if err != nil {
-		return 0, nil, fmt.Errorf("proto: frame type: %w", cut(err))
-	}
-	// Never trust the claimed length for allocation: grow as data actually
-	// arrives, so a forged header cannot exhaust memory.
-	want := int64(n - 1)
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, br, want); err != nil {
-		return 0, nil, fmt.Errorf("proto: %v frame body (%d of %d bytes): %w",
-			FrameType(tb), buf.Len(), want, cut(err))
-	}
-	return FrameType(tb), buf.Bytes(), nil
+	return (&FrameReader{br: br}).Read()
 }
 
 // frameChunk bounds how far FrameReader grows its buffer beyond the bytes

@@ -126,22 +126,31 @@ func TestEpochPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReportJSONRoundTrip pins that core.Report survives the wire exactly,
-// including large uint64 addresses: the differential soak tests rely on
-// byte-identical reports.
-func TestReportJSONRoundTrip(t *testing.T) {
+// TestReportFrameRoundTrip pins that core.Report survives the wire exactly,
+// including large uint64 addresses and negative Ref fields, when written
+// through WriteJSON (which routes a Reports value to the binary frame): the
+// differential soak tests rely on byte-identical reports.
+func TestReportFrameRoundTrip(t *testing.T) {
 	in := Reports{Epoch: 3, Reports: []core.Report{{
 		Ref:    trace.Ref{Epoch: 3, Thread: 2, Index: 41},
 		Ev:     trace.Event{Kind: trace.Write, Addr: 1<<63 + 12345, Size: 8, Src1: 7, Src2: 9, Cycle: 1 << 40},
 		Code:   "addrcheck.unallocated-access",
 		Detail: "write of 8 bytes at 0x8000000000003039",
+	}, {
+		Ref:  trace.Ref{Epoch: -1, Thread: -7, Index: 1 << 40},
+		Ev:   trace.Event{Kind: 255, Addr: ^uint64(0), Size: ^uint64(0), Src1: 1 << 63, Src2: 1, Cycle: ^uint64(0)},
+		Code: "x",
 	}}}
-	data, err := json.Marshal(in)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, FrameReports, in); err != nil {
 		t.Fatal(err)
 	}
+	ft, payload, err := ReadFrame(bufio.NewReader(&buf))
+	if err != nil || ft != FrameReports {
+		t.Fatalf("ReadFrame = %v, %v", ft, err)
+	}
 	var out Reports
-	if err := json.Unmarshal(data, &out); err != nil {
+	if err := DecodeReports(payload, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {

@@ -8,6 +8,7 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -167,21 +169,51 @@ func TestRejectFloodLeavesNoSlots(t *testing.T) {
 	wantReject(t, ft, payload, "full")
 }
 
-// reportStorm builds a single-thread trace whose every access is an
-// unallocated-heap read — one addrcheck report per event — so the server
-// has far more bytes to write back than any socket buffer holds.
-func reportStorm(t *testing.T, events, perEpoch int) *epoch.Grid {
+// stormBytes is how much Reports traffic TestWriteDeadlineDropsSlowClient
+// must provoke: well past worst-case kernel buffering (Linux autotunes a
+// loopback send buffer to ~4MB) of a client that never reads.
+const stormBytes = 16 << 20
+
+// reportStormRow returns one epoch row of a single thread whose every
+// access is an unallocated-heap read — one addrcheck report per event — and
+// how many epochs of it make the server write at least stormBytes of
+// Reports frames back, measured from the encoded frame itself (the first
+// epoch's, whose varints are the shortest).
+func reportStormRow(t *testing.T, perEpoch int) (row []trace.Event, epochs int) {
 	t.Helper()
 	b := trace.NewBuilder(1)
 	b.T(0)
-	for i := 0; i < events; i++ {
+	for i := 0; i < perEpoch; i++ {
 		b.Read(0x100+uint64(i%64)*8, 4)
 	}
-	g, err := epoch.ChunkByCount(b.Build(), perEpoch)
+	tr := b.Build()
+	g, err := epoch.ChunkByCount(tr, perEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	res := oracleRun(t, "addrcheck", g)
+	if len(res.Reports) != perEpoch {
+		t.Fatalf("storm epoch has %d reports, want %d", len(res.Reports), perEpoch)
+	}
+	var frame bytes.Buffer
+	if err := proto.WriteReports(&frame, proto.Reports{Epoch: 0, Reports: res.Reports}); err != nil {
+		t.Fatal(err)
+	}
+	return tr.Threads[0], (stormBytes + frame.Len() - 1) / frame.Len()
+}
+
+// dialSmallReadBuffer connects with a tiny receive buffer, set before the
+// connection exists so the window is small from its first advertisement.
+// Shrinking an advertised window instead (SetReadBuffer after Dial) drops
+// segments already in flight, and the upload can stall in retransmit
+// backoff before the server's send buffer ever fills.
+func dialSmallReadBuffer(addr string) (net.Conn, error) {
+	d := net.Dialer{Control: func(_, _ string, c syscall.RawConn) error {
+		return c.Control(func(fd uintptr) {
+			syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 256) //nolint:errcheck // best-effort
+		})
+	}}
+	return d.Dial("tcp", addr)
 }
 
 // TestWriteDeadlineDropsSlowClient connects a client that sends epochs but
@@ -196,15 +228,17 @@ func TestWriteDeadlineDropsSlowClient(t *testing.T) {
 		DetachGrace:  time.Minute,
 		Obs:          reg,
 	})
-	// The storm must overflow worst-case kernel buffering (Linux autotunes
-	// a loopback send buffer to ~4MB): 64K unallocated reads → 64K reports
-	// → well over 10MB of Reports frames the client will never read.
-	g := reportStorm(t, 65536, 64)
+	// The storm must overflow worst-case kernel buffering: enough epochs of
+	// 64 reports each that at least stormBytes of Reports frames come back
+	// to a client that never reads them.
+	row, epochs := reportStormRow(t, 64)
 
-	p := dialSession(t, s.Addr())
-	if tc, ok := p.conn.(*net.TCPConn); ok {
-		tc.SetReadBuffer(256) //nolint:errcheck // shrinks the window; best-effort
+	conn, err := dialSmallReadBuffer(s.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer conn.Close()
+	p := &protoSession{t: t, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
 	h := validHello()
 	h.NumThreads = 1
 	if w, rej := p.hello(h); w == nil {
@@ -216,10 +250,8 @@ func TestWriteDeadlineDropsSlowClient(t *testing.T) {
 	// so errors just end the feed.
 	go func() {
 		bw := bufio.NewWriter(p.conn)
-		for l := 0; l < g.NumEpochs(); l++ {
-			row := make([][]trace.Event, 1)
-			row[0] = g.Blocks[l][0].Events
-			payload, err := proto.EncodeEpoch(l, row)
+		for l := 0; l < epochs; l++ {
+			payload, err := proto.EncodeEpoch(l, [][]trace.Event{row})
 			if err != nil {
 				return
 			}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"butterfly/internal/core"
 	"butterfly/internal/epoch"
@@ -70,6 +71,9 @@ type session struct {
 	replay []proto.Reports
 	// nreports counts all reports ever produced (the Done total).
 	nreports int
+	// replayBytes estimates the memory the replay buffer pins
+	// (replayReportBytes), for the session memory budget.
+	replayBytes int64
 
 	bytesIn int64
 	epochs  int64
@@ -293,4 +297,15 @@ func (sess *session) recordReports(tick int, reps []core.Report) {
 	}
 	sess.replay = append(sess.replay, proto.Reports{Epoch: tick, Reports: reps})
 	sess.nreports += len(reps)
+	sess.replayBytes += replayReportBytes(reps)
+}
+
+// replayReportBytes estimates the bytes a tick's buffered reports pin: each
+// report's struct plus its Detail text.
+func replayReportBytes(reps []core.Report) int64 {
+	n := int64(len(reps)) * int64(unsafe.Sizeof(core.Report{}))
+	for i := range reps {
+		n += int64(len(reps[i].Detail))
+	}
+	return n
 }
